@@ -4,7 +4,7 @@
 
 use bsml_bench::{nested_lets, poly_ladder};
 use bsml_infer::{initial_env, Inferencer};
-use bsml_std::{paper_corpus, workloads};
+use bsml_std::{algorithms, paper_corpus, workloads};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
@@ -60,22 +60,26 @@ fn bench_derivation_ablation(c: &mut Criterion) {
 
 fn bench_locality_ablation(c: &mut Criterion) {
     // The cost of the paper's contribution: constrained inference vs
-    // plain Damas–Milner (what OCaml does) on the same programs.
+    // plain Damas–Milner (what OCaml does) on the same programs. PSRS
+    // and matvec are the locality-heavy shape: long let-chains of
+    // polymorphic, constrained combinators.
     let mut group = c.benchmark_group("infer/locality-ablation");
-    for w in [
-        workloads::bcast_direct(0),
-        workloads::scan_plus_log(),
-        workloads::inner_product(8),
+    for (name, w) in [
+        ("bcast-direct", workloads::bcast_direct(0)),
+        ("scan-log", workloads::scan_plus_log()),
+        ("inner-product", workloads::inner_product(8)),
+        ("psrs-48", algorithms::psrs_sort(48)),
+        ("matvec-3x3", algorithms::matvec(3, 3)),
     ] {
         let ast = w.ast();
-        group.bench_with_input(BenchmarkId::new("constrained", &w.name), &ast, |b, ast| {
+        group.bench_with_input(BenchmarkId::new("constrained", name), &ast, |b, ast| {
             b.iter(|| {
                 Inferencer::new()
                     .run(&initial_env(), black_box(ast))
                     .expect("types")
             });
         });
-        group.bench_with_input(BenchmarkId::new("plain-dm", &w.name), &ast, |b, ast| {
+        group.bench_with_input(BenchmarkId::new("plain-dm", name), &ast, |b, ast| {
             b.iter(|| {
                 Inferencer::new()
                     .with_locality(false)

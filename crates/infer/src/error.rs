@@ -29,8 +29,10 @@ pub enum TypeError {
     LocalityViolation {
         /// The typing rule whose side condition failed.
         rule: &'static str,
-        /// The constraint that solved to `False`, as accumulated
-        /// (before boolean reduction), e.g. `L(int) ⇒ L(int par)`.
+        /// The constraint that solved to `False`, before boolean
+        /// reduction: the rule's own conditions over its premises'
+        /// solved constraints, e.g. `L(int) ⇒ L(int par)`. With
+        /// derivation recording on, the premises' raw formulas.
         constraint: Constraint,
         /// The offending expression.
         span: Span,

@@ -11,7 +11,13 @@
 //!    (*(Fun)*: `C_{τ₁→τ₂}`; *(Let)*: `L(τ₂) ⇒ L(τ₁)`; *(Ifat)*:
 //!    `L(τ) ⇒ False`),
 //! 3. runs `Solve`; if the constraint is absurd the expression is
-//!    rejected with a [`TypeError::LocalityViolation`].
+//!    rejected with a [`TypeError::LocalityViolation`]; otherwise the
+//!    judgment passes `Solve`'s residual on in place of the formula.
+//!    Premises, let-bound schemes and instances so hold a few Horn
+//!    clauses, never a formula tree that grows with the program.
+//!    Only derivation recording keeps the raw formulas, for the
+//!    Figures 8–10 renderings; that mode is also the definitional
+//!    oracle the solved form is tested against (DESIGN.md §3).
 //!
 //! The §6 extensions (sums, lists) follow the same pattern; their
 //! eliminators carry the *(Let)*-style condition
@@ -38,7 +44,8 @@ pub struct Inference {
     /// The inferred simple type.
     pub ty: Type,
     /// The accumulated constraint (not `False` — that would have been
-    /// an error).
+    /// an error): the last rule's `Solve` residual, or its raw formula
+    /// when a derivation was recorded.
     pub constraint: Constraint,
     /// `Solve`'s canonical form of the constraint.
     pub solution: Solution,
@@ -275,16 +282,28 @@ impl Inferencer {
         solution
     }
 
-    /// Rejects a judgment whose constraint solves to `False`.
-    fn check(&self, rule: &'static str, span: Span, c: &Constraint) -> Result<(), TypeError> {
-        if self.locality && self.solve(c) == Solution::False {
-            Err(TypeError::LocalityViolation {
+    /// Rejects a judgment whose constraint solves to `False`, and
+    /// otherwise returns the constraint the judgment carries on:
+    /// `Solve`'s residual, equivalent to `c` and a few clauses long.
+    /// Only when a derivation is recorded does the judgment keep the
+    /// raw formula `c`, which Figures 8–10 display.
+    fn check(
+        &self,
+        rule: &'static str,
+        span: Span,
+        c: Constraint,
+    ) -> Result<Constraint, TypeError> {
+        if !self.locality {
+            return Ok(c);
+        }
+        match self.solve(&c) {
+            Solution::False => Err(TypeError::LocalityViolation {
                 rule,
-                constraint: c.clone(),
+                constraint: c,
                 span,
-            })
-        } else {
-            Ok(())
+            }),
+            _ if self.record => Ok(c),
+            solution => Ok(solution.to_constraint()),
         }
     }
 
@@ -334,7 +353,7 @@ impl Inferencer {
                 })?;
                 let (ty, c) = self.instantiate(scheme);
                 let c = self.gate(c);
-                self.check("(Var)", span, &c)?;
+                let c = self.check("(Var)", span, c)?;
                 let d = self.node("(Var)", e, &ty, &c, vec![]);
                 Ok((Subst::new(), ty, c, d))
             }
@@ -349,7 +368,7 @@ impl Inferencer {
             ExprKind::Op(op) => {
                 let (ty, c) = self.instantiate(&op_scheme(*op));
                 let c = self.gate(c);
-                self.check("(Op)", span, &c)?;
+                let c = self.check("(Op)", span, c)?;
                 let d = self.node("(Op)", e, &ty, &c, vec![]);
                 Ok((Subst::new(), ty, c, d))
             }
@@ -362,7 +381,7 @@ impl Inferencer {
                 let t1 = s1.apply(&alpha);
                 let ty = Type::arrow(t1, t2);
                 let c = Constraint::and(self.gate(basic_constraint(&ty)), c2);
-                self.check("(Fun)", span, &c)?;
+                let c = self.check("(Fun)", span, c)?;
                 let d = self.node("(Fun)", e, &ty, &c, vec![d1]);
                 Ok((s1, ty, c, d))
             }
@@ -386,7 +405,7 @@ impl Inferencer {
 
                 let ty = acc.ty(ib).clone();
                 let c = acc.all_constraints();
-                self.check("(App)", span, &c)?;
+                let c = self.check("(App)", span, c)?;
                 let d = self.node("(App)", e, &ty, &c, vec![d1, d2]);
                 Ok((acc.subst, ty, c, d))
             }
@@ -414,7 +433,7 @@ impl Inferencer {
                     Constraint::Loc(t1s),
                 ));
                 let c = Constraint::conj([c1s, c2, side]);
-                self.check("(Let)", span, &c)?;
+                let c = self.check("(Let)", span, c)?;
                 let d = self.node("(Let)", e, &t2, &c, vec![d1, d2]);
                 Ok((s2.compose(&s1), t2, c, d))
             }
@@ -430,7 +449,7 @@ impl Inferencer {
                 };
                 let ty = Type::pair(t1s, t2);
                 let c = Constraint::and(c1s, c2);
-                self.check("(Pair)", span, &c)?;
+                let c = self.check("(Pair)", span, c)?;
                 let d = self.node("(Pair)", e, &ty, &c, vec![d1, d2]);
                 Ok((s2.compose(&s1), ty, c, d))
             }
@@ -459,7 +478,7 @@ impl Inferencer {
                 let _ = ic;
                 let ty = acc.ty(i2).clone();
                 let c = acc.all_constraints();
-                self.check("(Ifthenelse)", span, &c)?;
+                let c = self.check("(Ifthenelse)", span, c)?;
                 let d = self.node("(Ifthenelse)", e, &ty, &c, vec![d1, d2, d3]);
                 Ok((acc.subst, ty, c, d))
             }
@@ -499,7 +518,7 @@ impl Inferencer {
                     Constraint::False,
                 ));
                 let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Ifat)", span, &c)?;
+                let c = self.check("(Ifat)", span, c)?;
                 let d = self.node("(Ifat)", e, &ty, &c, vec![d1, d2, d3, d4]);
                 Ok((acc.subst, ty, c, d))
             }
@@ -527,7 +546,7 @@ impl Inferencer {
                 let elem = acc.ty(ia).clone();
                 let ty = Type::par(elem.clone());
                 let c = Constraint::and(acc.all_constraints(), self.gate(Constraint::Loc(elem)));
-                self.check("(Vector)", span, &c)?;
+                let c = self.check("(Vector)", span, c)?;
                 let d = self.node("(Vector)", e, &ty, &c, ds);
                 Ok((acc.subst, ty, c, d))
             }
@@ -537,7 +556,7 @@ impl Inferencer {
                 let beta = self.gen.fresh_ty();
                 let ty = Type::sum(t1, beta);
                 let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
-                self.check("(Inl)", span, &c)?;
+                let c = self.check("(Inl)", span, c)?;
                 let d = self.node("(Inl)", e, &ty, &c, vec![d1]);
                 Ok((s1, ty, c, d))
             }
@@ -546,7 +565,7 @@ impl Inferencer {
                 let alpha = self.gen.fresh_ty();
                 let ty = Type::sum(alpha, t1);
                 let c = Constraint::and(self.gate(basic_constraint(&ty)), c1);
-                self.check("(Inr)", span, &c)?;
+                let c = self.check("(Inr)", span, c)?;
                 let d = self.node("(Inr)", e, &ty, &c, vec![d1]);
                 Ok((s1, ty, c, d))
             }
@@ -598,7 +617,7 @@ impl Inferencer {
                     Constraint::Loc(acc.ty(is).clone()),
                 ));
                 let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Case)", span, &c)?;
+                let c = self.check("(Case)", span, c)?;
                 let d = self.node("(Case)", e, &ty, &c, vec![d1, d2, d3]);
                 Ok((acc.subst, ty, c, d))
             }
@@ -631,7 +650,7 @@ impl Inferencer {
                 // statically unknown parallel width).
                 let elem = acc.ty(ih).clone();
                 let c = Constraint::and(acc.all_constraints(), self.gate(Constraint::Loc(elem)));
-                self.check("(Cons)", span, &c)?;
+                let c = self.check("(Cons)", span, c)?;
                 let d = self.node("(Cons)", e, &ty, &c, vec![d1, d2]);
                 Ok((acc.subst, ty, c, d))
             }
@@ -679,7 +698,7 @@ impl Inferencer {
                     Constraint::Loc(acc.ty(is).clone()),
                 ));
                 let c = Constraint::and(acc.all_constraints(), side);
-                self.check("(Match)", span, &c)?;
+                let c = self.check("(Match)", span, c)?;
                 let d = self.node("(Match)", e, &ty, &c, vec![d1, d2, d3]);
                 Ok((acc.subst, ty, c, d))
             }
