@@ -24,11 +24,10 @@
 //! back to a full restart. A corrupted checkpoint can cost time, never
 //! correctness.
 //!
-//! Frames are serialized with a length prefix and an FNV-1a trailer
-//! checksum — the same [`crate::wire`] value codec and checksum the
-//! network transport speaks, so there is one serialized form on the
-//! wire and at rest; the file-backed store writes one file per
-//! generation under a run directory, with a commit-marker trailer, so
+//! Frames embed values with the [`crate::wire`] value codec and are
+//! sealed with the [`bsml_eval::bytes`] checksum envelope, so there is
+//! one serialized form on the wire and at rest. The file-backed store
+//! writes one file per generation with a trailing commit marker, so
 //! any byte-flip is caught at load and the loader can fall down the
 //! generation ladder.
 
@@ -39,14 +38,16 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
 use bsml_ast::Expr;
+use bsml_eval::bytes::{fnv1a, put_bytes, put_u64, seal, unseal, ByteReader, CodecError};
 use bsml_eval::PortableValue;
 
 use crate::storage::{Disk, StorageError};
-pub use crate::wire::fnv1a;
-use crate::wire::{decode_value, encode_value, put_u64, Reader, WireError};
+use crate::wire::{decode_value, encode_value};
 
 /// Leading magic of a serialized frame.
 const FRAME_MAGIC: u64 = 0x4253_4d4c_4652_414d; // "BSMLFRAM"
+/// Bytes of a frame's header: magic, fingerprint, rank, superstep.
+const FRAME_HEADER_LEN: usize = 4 * 8;
 /// Leading magic of a generation file.
 const FILE_MAGIC: u64 = 0x4253_4d4c_434b_5031; // "BSMLCKP1"
 /// Trailing commit marker of a generation file — its presence *is*
@@ -179,11 +180,12 @@ impl From<StorageError> for CheckpointError {
     }
 }
 
-impl From<WireError> for CheckpointError {
+impl From<CodecError> for CheckpointError {
     /// Codec-level failures (truncation, bad tags, count overflow)
-    /// surface as [`CheckpointError::Malformed`]; checksum checking
-    /// stays checkpoint-side so the error can carry its coordinates.
-    fn from(e: WireError) -> CheckpointError {
+    /// surface as [`CheckpointError::Malformed`]; a frame's checksum
+    /// mismatch is mapped by [`RankFrame::decode`] instead, so the
+    /// error can carry its coordinates.
+    fn from(e: CodecError) -> CheckpointError {
         CheckpointError::Malformed(e.to_string())
     }
 }
@@ -319,8 +321,7 @@ impl RankFrame {
                 }
             }
         }
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
+        seal(&mut out);
         out
     }
 
@@ -332,26 +333,23 @@ impl RankFrame {
     /// with `generation`/`rank` taken from the *claimed* header so the
     /// ladder can name the culprit).
     pub fn decode(bytes: &[u8]) -> Result<RankFrame, CheckpointError> {
-        if bytes.len() < 8 + 8 {
+        if bytes.len() < FRAME_HEADER_LEN + 8 {
             return Err(CheckpointError::Malformed("frame too short".into()));
         }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        let claimed = u64::from_le_bytes(trailer.try_into().expect("8 bytes"));
-        let mut r = Reader::new(body);
+        let mut r = ByteReader::new(bytes);
         if r.u64()? != FRAME_MAGIC {
             return Err(CheckpointError::Malformed("bad frame magic".into()));
         }
         let fingerprint = r.u64()?;
         let rank = r.u64()? as usize;
         let superstep = r.u64()?;
-        if fnv1a(body) != claimed {
-            // Checked after the header parse so the error can carry a
-            // best-effort coordinate, but before trusting any count.
-            return Err(CheckpointError::ChecksumMismatch {
-                generation: superstep,
-                rank,
-            });
-        }
+        // Verified after the header parse so the error can carry a
+        // best-effort coordinate, but before trusting any count.
+        let body = unseal(bytes).map_err(|_| CheckpointError::ChecksumMismatch {
+            generation: superstep,
+            rank,
+        })?;
+        let mut r = ByteReader::new(&body[FRAME_HEADER_LEN..]);
         let fuel_left = r.u64()?;
         let sent_words = r.u64()?;
         let received_words = r.u64()?;
@@ -379,12 +377,7 @@ impl RankFrame {
                 }
             });
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Malformed(format!(
-                "{} trailing bytes after outcome log",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(RankFrame {
             fingerprint,
             rank,
@@ -611,7 +604,7 @@ impl FileStore {
             // generation never happened.
             return Err(CheckpointError::NotCommitted { generation });
         }
-        let mut r = Reader::new(body);
+        let mut r = ByteReader::new(body);
         if r.u64()? != FILE_MAGIC {
             return Err(CheckpointError::Malformed(
                 "bad generation-file magic".into(),
@@ -626,15 +619,9 @@ impl FileStore {
         let p = r.count()?;
         let mut frames = Vec::with_capacity(p);
         for _ in 0..p {
-            let len = r.count()?;
-            frames.push(RankFrame::decode(r.take(len)?)?);
+            frames.push(RankFrame::decode(r.bytes()?)?);
         }
-        if r.remaining() != 0 {
-            return Err(CheckpointError::Malformed(format!(
-                "{} trailing bytes after last frame",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(frames)
     }
 }
@@ -668,8 +655,7 @@ impl CheckpointStore for FileStore {
         put_u64(&mut out, generation);
         put_u64(&mut out, p as u64);
         for frame in staged.into_values() {
-            put_u64(&mut out, frame.len() as u64);
-            out.extend_from_slice(&frame);
+            put_bytes(&mut out, &frame);
         }
         put_u64(&mut out, COMMIT_MAGIC);
         let total = out.len() as u64;

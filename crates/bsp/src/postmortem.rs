@@ -38,11 +38,11 @@ use std::fmt;
 use std::io;
 use std::path::Path;
 
+use bsml_eval::bytes::{put_bytes, put_str, put_u64, seal, unseal, ByteReader, CodecError};
 use bsml_eval::EvalError;
 use bsml_obs::{FlightEvent, TimedFlightEvent};
 
 use crate::machine::{BspParams, RunReport};
-use crate::wire::{fnv1a, put_u64, Reader, WireError};
 
 /// File magic of a postmortem bundle (`BSMLPM01`).
 pub const BUNDLE_MAGIC: u64 = u64::from_le_bytes(*b"BSMLPM01");
@@ -124,11 +124,11 @@ pub fn error_coordinate(err: &EvalError) -> (Option<u64>, Option<u64>) {
 pub enum PostmortemError {
     /// The file could not be read or written.
     Io(io::Error),
-    /// The bytes are not a bundle (magic, marker, checksum,
-    /// structure).
+    /// The bytes are not a bundle (magic, marker, header fields).
     Malformed(String),
-    /// A primitive read ran off the end of a blob.
-    Wire(WireError),
+    /// The byte codec rejected the bundle or a rank blob (truncation,
+    /// checksum, unknown tag, bad count, trailing bytes).
+    Codec(CodecError),
 }
 
 impl fmt::Display for PostmortemError {
@@ -136,7 +136,7 @@ impl fmt::Display for PostmortemError {
         match self {
             PostmortemError::Io(e) => write!(f, "postmortem i/o: {e}"),
             PostmortemError::Malformed(m) => write!(f, "malformed postmortem bundle: {m}"),
-            PostmortemError::Wire(e) => write!(f, "malformed postmortem bundle: {e}"),
+            PostmortemError::Codec(e) => write!(f, "malformed postmortem bundle: {e}"),
         }
     }
 }
@@ -149,9 +149,9 @@ impl From<io::Error> for PostmortemError {
     }
 }
 
-impl From<WireError> for PostmortemError {
-    fn from(e: WireError) -> PostmortemError {
-        PostmortemError::Wire(e)
+impl From<CodecError> for PostmortemError {
+    fn from(e: CodecError) -> PostmortemError {
+        PostmortemError::Codec(e)
     }
 }
 
@@ -231,7 +231,7 @@ pub(crate) fn encode_event(out: &mut Vec<u8>, ev: &TimedFlightEvent) {
     }
 }
 
-pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedFlightEvent, PostmortemError> {
+pub(crate) fn decode_event(r: &mut ByteReader<'_>) -> Result<TimedFlightEvent, CodecError> {
     let tag = r.u8()?;
     let lamport = r.u64()?;
     let event = match tag {
@@ -292,10 +292,11 @@ pub(crate) fn decode_event(r: &mut Reader<'_>) -> Result<TimedFlightEvent, Postm
             rank: r.u64()?,
             superstep: r.u64()?,
         },
-        other => {
-            return Err(PostmortemError::Malformed(format!(
-                "unknown event tag {other}"
-            )))
+        tag => {
+            return Err(CodecError::BadTag {
+                what: "flight event",
+                tag,
+            })
         }
     };
     Ok(TimedFlightEvent { lamport, event })
@@ -342,8 +343,7 @@ impl PostmortemBundle {
                 None => out.push(0),
             }
         }
-        put_u64(&mut out, self.error.len() as u64);
-        out.extend_from_slice(self.error.as_bytes());
+        put_str(&mut out, &self.error);
         put_u64(&mut out, self.ranks.len() as u64);
         for rank in &self.ranks {
             let mut blob = Vec::with_capacity(64);
@@ -353,13 +353,10 @@ impl PostmortemBundle {
             for ev in &rank.events {
                 encode_event(&mut blob, ev);
             }
-            let checksum = fnv1a(&blob);
-            put_u64(&mut blob, checksum);
-            put_u64(&mut out, blob.len() as u64);
-            out.extend_from_slice(&blob);
+            seal(&mut blob);
+            put_bytes(&mut out, &blob);
         }
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
+        seal(&mut out);
         put_u64(&mut out, DONE_MAGIC);
         out
     }
@@ -369,24 +366,19 @@ impl PostmortemBundle {
     ///
     /// # Errors
     ///
-    /// [`PostmortemError::Malformed`] or [`PostmortemError::Wire`] on
+    /// [`PostmortemError::Malformed`] or [`PostmortemError::Codec`] on
     /// anything that does not verify.
     pub fn decode(bytes: &[u8]) -> Result<PostmortemBundle, PostmortemError> {
         if bytes.len() < 8 + 8 + 8 {
             return Err(PostmortemError::Malformed("bundle too short".into()));
         }
-        let (body, tail) = bytes.split_at(bytes.len() - 16);
-        let claimed = u64::from_le_bytes(tail[..8].try_into().expect("8 bytes"));
-        let done = u64::from_le_bytes(tail[8..].try_into().expect("8 bytes"));
-        if done != DONE_MAGIC {
+        let (sealed, done) = bytes.split_at(bytes.len() - 8);
+        if done != DONE_MAGIC.to_le_bytes() {
             return Err(PostmortemError::Malformed(
                 "missing commit marker (write was cut short)".into(),
             ));
         }
-        if fnv1a(body) != claimed {
-            return Err(PostmortemError::Malformed("checksum mismatch".into()));
-        }
-        let mut r = Reader::new(body);
+        let mut r = ByteReader::new(unseal(sealed)?);
         if r.u64()? != BUNDLE_MAGIC {
             return Err(PostmortemError::Malformed("bad magic".into()));
         }
@@ -405,25 +397,13 @@ impl PostmortemBundle {
                 }
             };
         }
-        let error_len = r.count()?;
-        let error = String::from_utf8(r.take(error_len)?.to_vec())
-            .map_err(|_| PostmortemError::Malformed("error is not utf-8".into()))?;
+        let error = r.str()?;
         let nranks = r.count()?;
         let mut ranks = Vec::with_capacity(nranks);
         for _ in 0..nranks {
-            let blob_len = r.count()?;
-            let blob = r.take(blob_len)?;
-            if blob.len() < 8 {
-                return Err(PostmortemError::Malformed("rank blob too short".into()));
-            }
-            let (blob_body, blob_tail) = blob.split_at(blob.len() - 8);
-            let blob_claimed = u64::from_le_bytes(blob_tail.try_into().expect("8 bytes"));
-            if fnv1a(blob_body) != blob_claimed {
-                return Err(PostmortemError::Malformed(
-                    "rank blob checksum mismatch".into(),
-                ));
-            }
-            let mut br = Reader::new(blob_body);
+            // Each rank blob carries its own trailer, so a damaged rank
+            // is detected on its own.
+            let mut br = ByteReader::new(unseal(r.bytes()?)?);
             let rank = br.u64()? as usize;
             let dropped = br.u64()?;
             let n = br.count()?;
@@ -431,24 +411,14 @@ impl PostmortemBundle {
             for _ in 0..n {
                 events.push(decode_event(&mut br)?);
             }
-            if br.remaining() != 0 {
-                return Err(PostmortemError::Malformed(format!(
-                    "{} trailing bytes in rank blob",
-                    br.remaining()
-                )));
-            }
+            br.finish()?;
             ranks.push(RankFlightLog {
                 rank,
                 dropped,
                 events,
             });
         }
-        if r.remaining() != 0 {
-            return Err(PostmortemError::Malformed(format!(
-                "{} trailing bytes after rank blobs",
-                r.remaining()
-            )));
-        }
+        r.finish()?;
         Ok(PostmortemBundle {
             p,
             attempt,

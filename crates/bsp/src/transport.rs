@@ -811,9 +811,10 @@ mod tests {
     #[test]
     fn stale_unix_socket_is_probed_and_rebound() {
         let path = scratch_socket("stale");
-        // A dead coordinator's leftover: bind, then drop the listener.
-        // The file stays behind.
-        drop(Bind::Unix(path.clone()).listen().expect("first bind"));
+        // A SIGKILLed coordinator's leftover: a bound socket whose
+        // owner never unlinked it. A raw std listener does not unlink
+        // on drop (a `UnixSeam` does), so the file stays behind.
+        drop(std::os::unix::net::UnixListener::bind(&path).expect("first bind"));
         assert!(path.exists(), "the socket file must be left behind");
         // A naive re-bind would fail with AddrInUse forever; the probe
         // sees the refused connect and unlinks the corpse.

@@ -3,25 +3,11 @@
 //! broadcast, or one acknowledgement between two ranks.
 //!
 //! This is the layer every transport speaks (see [`crate::transport`])
-//! and the layer the reliable-delivery protocol reasons about
-//! (DESIGN.md §10). A frame is self-delimiting and self-validating:
-//!
-//! ```text
-//! frame :=
-//!     len       u32   bytes following this prefix (header + payload + trailer)
-//!     kind      u8    0 = Put data, 1 = IfAt data, 2 = Ack
-//!     from      u32   sending rank
-//!     superstep u64   the sender's superstep when the frame was built
-//!     seq       u64   per-(sender → receiver)-link sequence number
-//!     lamport   u64   the sender's Lamport clock when the frame was stamped
-//!     payload         Put: one encoded PortableValue · IfAt: u8 bool · Ack: empty
-//!     checksum  u64   FNV-1a over every preceding byte (prefix included)
-//! ```
-//!
-//! All integers are little-endian. The decoder rejects — with an error,
-//! never a panic — truncated frames, length-prefix mismatches, checksum
-//! mismatches (any single bit flip is caught), unknown tags and
-//! trailing garbage; the reliable layer treats every rejection as a
+//! and the layer the reliable-delivery protocol reasons about. A frame
+//! is a `u32` length prefix, a header, a payload and the FNV-1a trailer
+//! of [`bsml_eval::bytes::seal`]; DESIGN.md §10 has the byte layout.
+//! The decoder rejects — with a [`CodecError`], never a panic — every
+//! malformed frame, and the reliable layer treats each rejection as a
 //! lost frame, so corruption degrades into retransmission.
 //!
 //! The [`PortableValue`] codec here is also the one checkpoint frames
@@ -42,172 +28,16 @@
 //! assert_eq!(Frame::decode(&f.encode()), Ok(f));
 //! ```
 
-use std::fmt;
 use std::io::{self, Read, Write};
 use std::time::Duration;
 
+use bsml_eval::bytes::{
+    put_bytes, put_str, put_u32, put_u64, seal, unseal, ByteReader, CodecError,
+};
 use bsml_eval::{EvalError, PortableValue};
 use bsml_obs::TimedFlightEvent;
 
 use crate::faults::{Fault, FaultKind};
-
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a over a byte slice — the checksum of wire and checkpoint
-/// frames.
-#[must_use]
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
-}
-
-/// Why a frame (or an embedded value) failed to decode. Every variant
-/// is a *rejection*: the decoder never panics on hostile bytes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum WireError {
-    /// The bytes end before the structure does.
-    Truncated,
-    /// The length prefix disagrees with the actual byte count — a
-    /// truncated tail or a corrupted prefix.
-    LengthMismatch {
-        /// Bytes the prefix claims follow it.
-        claimed: u64,
-        /// Bytes actually present after the prefix.
-        actual: u64,
-    },
-    /// The FNV-1a trailer does not match the frame's contents.
-    ChecksumMismatch,
-    /// An unknown frame-kind or value tag.
-    UnknownTag(u8),
-    /// Well-formed structure followed by garbage.
-    TrailingBytes(usize),
-    /// An embedded count larger than the bytes that could back it.
-    CountOverflow(u64),
-}
-
-impl fmt::Display for WireError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WireError::Truncated => f.write_str("truncated frame"),
-            WireError::LengthMismatch { claimed, actual } => {
-                write!(f, "length prefix claims {claimed} byte(s), found {actual}")
-            }
-            WireError::ChecksumMismatch => f.write_str("frame checksum mismatch"),
-            WireError::UnknownTag(tag) => write!(f, "unknown wire tag {tag}"),
-            WireError::TrailingBytes(n) => write!(f, "{n} trailing byte(s) after frame"),
-            WireError::CountOverflow(n) => {
-                write!(f, "count {n} exceeds the remaining frame bytes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// A bounds-checked little-endian reader over a byte slice — shared by
-/// the frame decoder and the checkpoint loader.
-#[derive(Debug)]
-pub struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    /// A reader at the start of `bytes`.
-    #[must_use]
-    pub fn new(bytes: &'a [u8]) -> Reader<'a> {
-        Reader { bytes, pos: 0 }
-    }
-
-    /// Bytes not yet consumed.
-    #[must_use]
-    pub fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    /// Reads one byte.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u8(&mut self) -> Result<u8, WireError> {
-        let b = *self.bytes.get(self.pos).ok_or(WireError::Truncated)?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u32(&mut self) -> Result<u32, WireError> {
-        let end = self.pos + 4;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u32::from_le_bytes(slice.try_into().expect("4 bytes")))
-    }
-
-    /// Reads a little-endian `u64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn u64(&mut self) -> Result<u64, WireError> {
-        let end = self.pos + 8;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(slice.try_into().expect("8 bytes")))
-    }
-
-    /// Reads a little-endian `i64`.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] at the end of input.
-    pub fn i64(&mut self) -> Result<i64, WireError> {
-        Ok(self.u64()? as i64)
-    }
-
-    /// A count that must plausibly fit in the remaining bytes (each
-    /// counted item takes ≥ 1 byte) — rejects corrupted lengths before
-    /// they become giant allocations.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] or [`WireError::CountOverflow`].
-    pub fn count(&mut self) -> Result<usize, WireError> {
-        let n = self.u64()?;
-        if n as usize > self.remaining() {
-            return Err(WireError::CountOverflow(n));
-        }
-        Ok(n as usize)
-    }
-
-    /// Consumes and returns the next `len` bytes.
-    ///
-    /// # Errors
-    ///
-    /// [`WireError::Truncated`] if fewer than `len` bytes remain.
-    pub fn take(&mut self, len: usize) -> Result<&'a [u8], WireError> {
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        let slice = self.bytes.get(self.pos..end).ok_or(WireError::Truncated)?;
-        self.pos = end;
-        Ok(slice)
-    }
-}
-
-/// Appends a little-endian `u64`.
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
 
 /// Serializes one [`PortableValue`] (the message codec of both wire
 /// frames and checkpoint frames).
@@ -256,8 +86,8 @@ pub fn encode_value(out: &mut Vec<u8>, v: &PortableValue) {
 ///
 /// # Errors
 ///
-/// Any [`WireError`] on truncated or malformed input — never a panic.
-pub fn decode_value(r: &mut Reader<'_>) -> Result<PortableValue, WireError> {
+/// Any [`CodecError`] on truncated or malformed input — never a panic.
+pub fn decode_value(r: &mut ByteReader<'_>) -> Result<PortableValue, CodecError> {
     match r.u8()? {
         0 => Ok(PortableValue::Int(r.i64()?)),
         1 => Ok(PortableValue::Bool(r.u8()? != 0)),
@@ -282,7 +112,7 @@ pub fn decode_value(r: &mut Reader<'_>) -> Result<PortableValue, WireError> {
             }
             Ok(PortableValue::Vector(vs))
         }
-        tag => Err(WireError::UnknownTag(tag)),
+        tag => Err(CodecError::BadTag { what: "value", tag }),
     }
 }
 
@@ -302,6 +132,44 @@ pub enum FramePayload {
 const KIND_PUT: u8 = 0;
 const KIND_IFAT: u8 = 1;
 const KIND_ACK: u8 = 2;
+
+/// The shortest well-formed data-plane frame: prefix, kind, from,
+/// superstep, seq, lamport and trailer.
+const FRAME_MIN_LEN: usize = 4 + 1 + 4 + 8 + 8 + 8 + 8;
+
+/// Starts a `[u32 len][body][fnv]` frame — the layout data-plane
+/// frames and control messages share. The prefix is patched by
+/// [`seal_frame`].
+fn begin_frame(capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(capacity);
+    put_u32(&mut out, 0);
+    out
+}
+
+/// Patches the length prefix (every byte after it, trailer included)
+/// and seals the frame.
+fn seal_frame(mut out: Vec<u8>) -> Vec<u8> {
+    let len = u32::try_from(out.len() - 4 + 8).expect("frames fit in u32");
+    out[..4].copy_from_slice(&len.to_le_bytes());
+    seal(&mut out);
+    out
+}
+
+/// Checks a frame's length prefix against the bytes present and its
+/// trailer against its contents, and returns a reader over the body
+/// between them.
+fn open_frame(bytes: &[u8], min_len: usize) -> Result<ByteReader<'_>, CodecError> {
+    let mut r = ByteReader::new(bytes);
+    let claimed = u64::from(r.u32()?);
+    let actual = r.remaining() as u64;
+    if claimed != actual {
+        return Err(CodecError::LengthMismatch { claimed, actual });
+    }
+    if bytes.len() < min_len {
+        return Err(CodecError::Truncated);
+    }
+    Ok(ByteReader::new(&unseal(bytes)?[4..]))
+}
 
 /// One unit of communication between two ranks.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -326,17 +194,16 @@ pub struct Frame {
 }
 
 impl Frame {
-    /// Serializes the frame (see the module docs for the layout).
+    /// Serializes the frame (layout: DESIGN.md §10).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(48);
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
+        let mut out = begin_frame(48);
         match &self.payload {
             FramePayload::Put(_) => out.push(KIND_PUT),
             FramePayload::IfAt(_) => out.push(KIND_IFAT),
             FramePayload::Ack => out.push(KIND_ACK),
         }
-        out.extend_from_slice(&u32::try_from(self.from).unwrap_or(u32::MAX).to_le_bytes());
+        put_u32(&mut out, u32::try_from(self.from).unwrap_or(u32::MAX));
         put_u64(&mut out, self.superstep);
         put_u64(&mut out, self.seq);
         put_u64(&mut out, self.lamport);
@@ -345,34 +212,17 @@ impl Frame {
             FramePayload::IfAt(b) => out.push(u8::from(*b)),
             FramePayload::Ack => {}
         }
-        let len = u32::try_from(out.len() - 4 + 8).expect("frames fit in u32");
-        out[0..4].copy_from_slice(&len.to_le_bytes());
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        seal_frame(out)
     }
 
     /// Parses and verifies one frame.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`]; the caller treats the frame as lost (the
+    /// Any [`CodecError`]; the caller treats the frame as lost (the
     /// sender's retransmission repairs it).
-    pub fn decode(bytes: &[u8]) -> Result<Frame, WireError> {
-        let mut r = Reader::new(bytes);
-        let claimed = u64::from(r.u32()?);
-        let actual = (bytes.len() - 4) as u64;
-        if claimed != actual {
-            return Err(WireError::LengthMismatch { claimed, actual });
-        }
-        if bytes.len() < 4 + 1 + 4 + 8 + 8 + 8 + 8 {
-            return Err(WireError::Truncated);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if fnv1a(body) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(&body[4..]);
+    pub fn decode(bytes: &[u8]) -> Result<Frame, CodecError> {
+        let mut r = open_frame(bytes, FRAME_MIN_LEN)?;
         let kind = r.u8()?;
         let from = r.u32()? as usize;
         let superstep = r.u64()?;
@@ -382,11 +232,14 @@ impl Frame {
             KIND_PUT => FramePayload::Put(decode_value(&mut r)?),
             KIND_IFAT => FramePayload::IfAt(r.u8()? != 0),
             KIND_ACK => FramePayload::Ack,
-            tag => return Err(WireError::UnknownTag(tag)),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "frame kind",
+                    tag,
+                })
+            }
         };
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(Frame {
             from,
             superstep,
@@ -649,19 +502,8 @@ const CTL_PONG: u8 = 13;
 const CTL_REJOIN: u8 = 14;
 const CTL_REJOIN_OK: u8 = 15;
 
-fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
-    put_u64(out, bytes.len() as u64);
-    out.extend_from_slice(bytes);
-}
-
-fn read_bytes<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], WireError> {
-    let n = r.count()?;
-    r.take(n)
-}
-
-fn read_string(r: &mut Reader<'_>) -> Result<String, WireError> {
-    Ok(String::from_utf8_lossy(read_bytes(r)?).into_owned())
-}
+/// The shortest well-formed control message: prefix, tag and trailer.
+const CTL_MIN_LEN: usize = 4 + 1 + 8;
 
 // Errors cross the process boundary structurally: every variant the
 // distributed runtime can actually produce has a precise tag, so the
@@ -705,7 +547,7 @@ fn encode_error(out: &mut Vec<u8>, err: &EvalError) {
             out.push(ERR_TRANSPORT_FAILURE);
             put_u64(out, *rank as u64);
             put_u64(out, *superstep);
-            put_bytes(out, detail.as_bytes());
+            put_str(out, detail);
         }
         EvalError::CheckpointDiverged {
             rank,
@@ -715,23 +557,23 @@ fn encode_error(out: &mut Vec<u8>, err: &EvalError) {
             out.push(ERR_CHECKPOINT_DIVERGED);
             put_u64(out, *rank as u64);
             put_u64(out, *superstep);
-            put_bytes(out, detail.as_bytes());
+            put_str(out, detail);
         }
         EvalError::NotSerializable(what) => {
             out.push(ERR_NOT_SERIALIZABLE);
-            put_bytes(out, what.as_bytes());
+            put_str(out, what);
         }
         EvalError::DivisionByZero => out.push(ERR_DIVISION_BY_ZERO),
         EvalError::RecursionLimit => out.push(ERR_RECURSION_LIMIT),
         EvalError::NestedParallelism => out.push(ERR_NESTED_PARALLELISM),
         other => {
             out.push(ERR_RENDERED);
-            put_bytes(out, other.to_string().as_bytes());
+            put_str(out, &other.to_string());
         }
     }
 }
 
-fn decode_error(r: &mut Reader<'_>) -> Result<EvalError, WireError> {
+fn decode_error(r: &mut ByteReader<'_>) -> Result<EvalError, CodecError> {
     match r.u8()? {
         ERR_PEER_FAILURE => Ok(EvalError::PeerFailure),
         ERR_OUT_OF_FUEL => Ok(EvalError::OutOfFuel),
@@ -746,19 +588,19 @@ fn decode_error(r: &mut Reader<'_>) -> Result<EvalError, WireError> {
         ERR_TRANSPORT_FAILURE => Ok(EvalError::TransportFailure {
             rank: r.u64()? as usize,
             superstep: r.u64()?,
-            detail: read_string(r)?,
+            detail: r.str()?,
         }),
         ERR_CHECKPOINT_DIVERGED => Ok(EvalError::CheckpointDiverged {
             rank: r.u64()? as usize,
             superstep: r.u64()?,
-            detail: read_string(r)?,
+            detail: r.str()?,
         }),
-        ERR_NOT_SERIALIZABLE => Ok(EvalError::NotSerializable(read_string(r)?)),
+        ERR_NOT_SERIALIZABLE => Ok(EvalError::NotSerializable(r.str()?)),
         ERR_DIVISION_BY_ZERO => Ok(EvalError::DivisionByZero),
         ERR_RECURSION_LIMIT => Ok(EvalError::RecursionLimit),
         ERR_NESTED_PARALLELISM => Ok(EvalError::NestedParallelism),
-        ERR_RENDERED => Ok(EvalError::ScrutineeMismatch("remote rank", read_string(r)?)),
-        tag => Err(WireError::UnknownTag(tag)),
+        ERR_RENDERED => Ok(EvalError::ScrutineeMismatch("remote rank", r.str()?)),
+        tag => Err(CodecError::BadTag { what: "error", tag }),
     }
 }
 
@@ -788,10 +630,10 @@ fn encode_fault(out: &mut Vec<u8>, f: &Fault) {
             put_u64(out, u64::try_from(delay.as_millis()).unwrap_or(u64::MAX));
         }
     }
-    out.extend_from_slice(&f.attempt.to_le_bytes());
+    put_u32(out, f.attempt);
 }
 
-fn decode_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
+fn decode_fault(r: &mut ByteReader<'_>) -> Result<Fault, CodecError> {
     let kind = match r.u8()? {
         0 => FaultKind::Crash {
             rank: r.u64()? as usize,
@@ -811,7 +653,7 @@ fn decode_fault(r: &mut Reader<'_>) -> Result<Fault, WireError> {
             superstep: r.u64()?,
             delay: Duration::from_millis(r.u64()?),
         },
-        tag => return Err(WireError::UnknownTag(tag)),
+        tag => return Err(CodecError::BadTag { what: "fault", tag }),
     };
     Ok(Fault {
         kind,
@@ -834,7 +676,7 @@ fn encode_ledger(out: &mut Vec<u8>, l: &CtlLedger) {
     }
 }
 
-fn decode_ledger(r: &mut Reader<'_>) -> Result<CtlLedger, WireError> {
+fn decode_ledger(r: &mut ByteReader<'_>) -> Result<CtlLedger, CodecError> {
     Ok(CtlLedger {
         faults_injected: r.u64()?,
         barrier_timeouts: r.u64()?,
@@ -854,13 +696,11 @@ fn encode_flight(out: &mut Vec<u8>, events: &[TimedFlightEvent]) {
     }
 }
 
-fn decode_flight(r: &mut Reader<'_>) -> Result<Vec<TimedFlightEvent>, WireError> {
+fn decode_flight(r: &mut ByteReader<'_>) -> Result<Vec<TimedFlightEvent>, CodecError> {
     let n = r.count()?;
     let mut events = Vec::with_capacity(n);
     for _ in 0..n {
-        // The event codec reports through the postmortem error type;
-        // at this layer any malformed event is simply a bad frame.
-        events.push(crate::postmortem::decode_event(r).map_err(|_| WireError::Truncated)?);
+        events.push(crate::postmortem::decode_event(r)?);
     }
     Ok(events)
 }
@@ -882,8 +722,7 @@ impl CtlMsg {
     /// FNV-1a trailer over everything before it.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64);
-        out.extend_from_slice(&0u32.to_le_bytes()); // patched below
+        let mut out = begin_frame(64);
         match self {
             CtlMsg::Hello {
                 magic,
@@ -894,7 +733,7 @@ impl CtlMsg {
             } => {
                 out.push(CTL_HELLO);
                 put_u64(&mut out, *magic);
-                out.extend_from_slice(&version.to_le_bytes());
+                put_u32(&mut out, *version);
                 put_u64(&mut out, *fingerprint);
                 put_u64(&mut out, *rank as u64);
                 put_u64(&mut out, *p as u64);
@@ -916,7 +755,7 @@ impl CtlMsg {
                 resume_frame,
             } => {
                 out.push(CTL_WELCOME);
-                put_bytes(&mut out, program.as_bytes());
+                put_str(&mut out, program);
                 for v in [
                     *fuel,
                     *barrier_timeout_ms,
@@ -931,7 +770,7 @@ impl CtlMsg {
                 ] {
                     put_u64(&mut out, v);
                 }
-                out.extend_from_slice(&attempt.to_le_bytes());
+                put_u32(&mut out, *attempt);
                 put_u64(&mut out, faults.len() as u64);
                 for f in faults {
                     encode_fault(&mut out, f);
@@ -946,7 +785,7 @@ impl CtlMsg {
             }
             CtlMsg::Reject { reason } => {
                 out.push(CTL_REJECT);
-                put_bytes(&mut out, reason.as_bytes());
+                put_str(&mut out, reason);
             }
             CtlMsg::Data { dst, frame } => {
                 out.push(CTL_DATA);
@@ -1039,34 +878,18 @@ impl CtlMsg {
                 put_u64(&mut out, *resume_token);
             }
         }
-        let len = u32::try_from(out.len() - 4 + 8).expect("control frames fit in u32");
-        out[0..4].copy_from_slice(&len.to_le_bytes());
-        let checksum = fnv1a(&out);
-        put_u64(&mut out, checksum);
-        out
+        seal_frame(out)
     }
 
     /// Parses and verifies one control message.
     ///
     /// # Errors
     ///
-    /// Any [`WireError`] — truncation, length-prefix or checksum
-    /// mismatch, unknown tags, trailing garbage. Never panics.
-    pub fn decode(bytes: &[u8]) -> Result<CtlMsg, WireError> {
-        let mut r = Reader::new(bytes);
-        let claimed = u64::from(r.u32()?);
-        let actual = (bytes.len() - 4) as u64;
-        if claimed != actual {
-            return Err(WireError::LengthMismatch { claimed, actual });
-        }
-        if bytes.len() < 4 + 1 + 8 {
-            return Err(WireError::Truncated);
-        }
-        let (body, trailer) = bytes.split_at(bytes.len() - 8);
-        if fnv1a(body) != u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
-            return Err(WireError::ChecksumMismatch);
-        }
-        let mut r = Reader::new(&body[4..]);
+    /// Any [`CodecError`] — truncation, length-prefix or checksum
+    /// mismatch, unknown tags, non-UTF-8 strings, trailing garbage.
+    /// Never panics.
+    pub fn decode(bytes: &[u8]) -> Result<CtlMsg, CodecError> {
+        let mut r = open_frame(bytes, CTL_MIN_LEN)?;
         let msg = match r.u8()? {
             CTL_HELLO => CtlMsg::Hello {
                 magic: r.u64()?,
@@ -1076,7 +899,7 @@ impl CtlMsg {
                 p: r.u64()? as usize,
             },
             CTL_WELCOME => {
-                let program = read_string(&mut r)?;
+                let program = r.str()?;
                 let fuel = r.u64()?;
                 let barrier_timeout_ms = r.u64()?;
                 let mailbox_capacity = r.u64()?;
@@ -1095,8 +918,13 @@ impl CtlMsg {
                 }
                 let resume_frame = match r.u8()? {
                     0 => None,
-                    1 => Some(read_bytes(&mut r)?.to_vec()),
-                    tag => return Err(WireError::UnknownTag(tag)),
+                    1 => Some(r.bytes()?.to_vec()),
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            what: "option",
+                            tag,
+                        })
+                    }
                 };
                 CtlMsg::Welcome {
                     program,
@@ -1115,15 +943,13 @@ impl CtlMsg {
                     resume_frame,
                 }
             }
-            CTL_REJECT => CtlMsg::Reject {
-                reason: read_string(&mut r)?,
-            },
+            CTL_REJECT => CtlMsg::Reject { reason: r.str()? },
             CTL_DATA => CtlMsg::Data {
                 dst: r.u64()? as usize,
-                frame: read_bytes(&mut r)?.to_vec(),
+                frame: r.bytes()?.to_vec(),
             },
             CTL_DELIVER => CtlMsg::Deliver {
-                frame: read_bytes(&mut r)?.to_vec(),
+                frame: r.bytes()?.to_vec(),
             },
             CTL_EXCHANGE_DONE => CtlMsg::ExchangeDone,
             CTL_EXCHANGE_TOTAL => CtlMsg::ExchangeTotal { total: r.u64()? },
@@ -1131,8 +957,13 @@ impl CtlMsg {
                 superstep: r.u64()?,
                 staged: match r.u8()? {
                     0 => None,
-                    1 => Some(read_bytes(&mut r)?.to_vec()),
-                    tag => return Err(WireError::UnknownTag(tag)),
+                    1 => Some(r.bytes()?.to_vec()),
+                    tag => {
+                        return Err(CodecError::BadTag {
+                            what: "option",
+                            tag,
+                        })
+                    }
                 },
             },
             CTL_BARRIER_RELEASE => CtlMsg::BarrierRelease {
@@ -1170,11 +1001,14 @@ impl CtlMsg {
             CTL_REJOIN_OK => CtlMsg::RejoinOk {
                 resume_token: r.u64()?,
             },
-            tag => return Err(WireError::UnknownTag(tag)),
+            tag => {
+                return Err(CodecError::BadTag {
+                    what: "control message",
+                    tag,
+                })
+            }
         };
-        if r.remaining() != 0 {
-            return Err(WireError::TrailingBytes(r.remaining()));
-        }
+        r.finish()?;
         Ok(msg)
     }
 }
@@ -1292,7 +1126,7 @@ mod tests {
         // The length prefix no longer matches.
         assert!(matches!(
             Frame::decode(&bytes),
-            Err(WireError::LengthMismatch { .. })
+            Err(CodecError::LengthMismatch { .. })
         ));
     }
 
@@ -1313,13 +1147,9 @@ mod tests {
         let at = 4 + 1 + 4 + 8 + 8 + 8 + 1;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         // Re-seal the checksum so the corruption reaches the decoder.
-        let body_len = bytes.len() - 8;
-        let checksum = fnv1a(&bytes[..body_len]);
-        bytes[body_len..].copy_from_slice(&checksum.to_le_bytes());
-        assert_eq!(
-            Frame::decode(&bytes),
-            Err(WireError::CountOverflow(u64::MAX))
-        );
+        bytes.truncate(bytes.len() - 8);
+        seal(&mut bytes);
+        assert_eq!(Frame::decode(&bytes), Err(CodecError::BadCount));
     }
 
     fn sample_ctl_msgs() -> Vec<CtlMsg> {
@@ -1470,6 +1300,21 @@ mod tests {
     }
 
     #[test]
+    fn non_utf8_ctl_string_is_a_typed_error() {
+        // A correctly sealed Reject whose reason is not UTF-8 must be
+        // refused, not decoded lossily.
+        let mut bytes = CtlMsg::Reject {
+            reason: "ok".to_string(),
+        }
+        .encode();
+        // prefix(4) + tag(1) + string length(8), then the two bytes.
+        bytes[13..15].copy_from_slice(&[0xff, 0xfe]);
+        bytes.truncate(bytes.len() - 8);
+        seal(&mut bytes);
+        assert_eq!(CtlMsg::decode(&bytes), Err(CodecError::BadUtf8));
+    }
+
+    #[test]
     fn remote_errors_roundtrip_structurally() {
         let precise = [
             EvalError::PeerFailure,
@@ -1500,14 +1345,14 @@ mod tests {
         for err in precise {
             let mut out = Vec::new();
             encode_error(&mut out, &err);
-            assert_eq!(decode_error(&mut Reader::new(&out)), Ok(err));
+            assert_eq!(decode_error(&mut ByteReader::new(&out)), Ok(err));
         }
         // Everything else degrades to its rendered form, never panics.
         let odd = EvalError::Unbound(bsml_ast::Ident::new("x"));
         let mut out = Vec::new();
         encode_error(&mut out, &odd);
         assert_eq!(
-            decode_error(&mut Reader::new(&out)),
+            decode_error(&mut ByteReader::new(&out)),
             Ok(EvalError::ScrutineeMismatch("remote rank", odd.to_string()))
         );
     }

@@ -1,11 +1,23 @@
-//! A minimal little-endian byte codec shared by the persistence
-//! layers ([`crate::persist`] here, `SessionSnapshot` in `bsml-core`).
+//! The workspace's one little-endian byte codec: every format that
+//! crosses a process boundary or lands on disk is written and read
+//! with it — wire and control frames, checkpoint frames and
+//! generation files, postmortem bundles (`bsml-bsp`), WAL records
+//! (`bsml-serve`), session snapshots (`bsml-core`) and evaluator
+//! snapshots ([`crate::persist`]).
 //!
 //! The reader is *total*: every method is bounds-checked and returns a
 //! typed [`CodecError`] instead of panicking, whatever bytes it is
-//! fed — the property the durability fault grids lean on. Counts are
-//! validated against the bytes actually remaining, so a corrupted
-//! length can never drive an attempted multi-gigabyte allocation.
+//! fed — the property the durability and wire fault grids lean on.
+//! Counts are validated against the bytes actually remaining, so a
+//! corrupted length can never drive an attempted multi-gigabyte
+//! allocation.
+//!
+//! **The envelope.** Every framed format ends in the same trailer: a
+//! little-endian `u64` FNV-1a checksum over every byte before it.
+//! [`seal`] appends it and [`unseal`] verifies and strips it, so any
+//! single-bit flip anywhere in a sealed record — prefix, body or
+//! trailer — is rejected. Length prefixes, magics and commit markers
+//! stay with each format; only the trailer is shared.
 
 use std::fmt;
 
@@ -27,6 +39,16 @@ pub enum CodecError {
     BadUtf8,
     /// Bytes remained after the announced structure ended.
     Trailing(usize),
+    /// A length prefix disagrees with the bytes that follow it — a
+    /// truncated tail or a corrupted prefix.
+    LengthMismatch {
+        /// Bytes the prefix claims follow it.
+        claimed: u64,
+        /// Bytes actually present after the prefix.
+        actual: u64,
+    },
+    /// The FNV-1a trailer does not match the sealed bytes.
+    ChecksumMismatch,
     /// An embedded source fragment failed to re-parse.
     Unparsable(String),
     /// Nesting exceeded the decoder's depth bound (corrupt input could
@@ -44,6 +66,10 @@ impl fmt::Display for CodecError {
             CodecError::BadCount => f.write_str("declared count exceeds remaining bytes"),
             CodecError::BadUtf8 => f.write_str("embedded string is not UTF-8"),
             CodecError::Trailing(n) => write!(f, "{n} trailing bytes"),
+            CodecError::LengthMismatch { claimed, actual } => {
+                write!(f, "length prefix claims {claimed} byte(s), found {actual}")
+            }
+            CodecError::ChecksumMismatch => f.write_str("checksum mismatch"),
             CodecError::Unparsable(what) => write!(f, "embedded source does not parse: {what}"),
             CodecError::TooDeep => f.write_str("nesting exceeds decoder depth bound"),
             CodecError::DanglingRef(id) => write!(f, "back-reference to undefined id {id}"),
@@ -52,6 +78,50 @@ impl fmt::Display for CodecError {
 }
 
 impl std::error::Error for CodecError {}
+
+/// FNV-1a 64-bit offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+/// FNV-1a 64-bit prime.
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// FNV-1a over a byte slice — the checksum of the [`seal`] trailer.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h = FNV_OFFSET;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
+}
+
+/// Seals a record: appends the FNV-1a checksum of everything in `out`.
+pub fn seal(out: &mut Vec<u8>) {
+    let checksum = fnv1a(out);
+    put_u64(out, checksum);
+}
+
+/// Verifies a record written by [`seal`] and returns it without its
+/// trailer.
+///
+/// # Errors
+///
+/// [`CodecError::Truncated`] if there is no room for the trailer,
+/// [`CodecError::ChecksumMismatch`] if it does not match.
+pub fn unseal(bytes: &[u8]) -> Result<&[u8], CodecError> {
+    let body_len = bytes.len().checked_sub(8).ok_or(CodecError::Truncated)?;
+    let (body, trailer) = bytes.split_at(body_len);
+    if fnv1a(body) == u64::from_le_bytes(trailer.try_into().expect("8 bytes")) {
+        Ok(body)
+    } else {
+        Err(CodecError::ChecksumMismatch)
+    }
+}
+
+/// Appends a little-endian `u32`.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
+    out.extend_from_slice(&v.to_le_bytes());
+}
 
 /// Appends a little-endian `u64`.
 pub fn put_u64(out: &mut Vec<u8>, v: u64) {
@@ -101,16 +171,26 @@ impl<'a> ByteReader<'a> {
         Ok(b)
     }
 
+    /// Reads a little-endian `u32`.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError::Truncated`].
+    pub fn u32(&mut self) -> Result<u32, CodecError> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
     /// Reads a little-endian `u64`.
     ///
     /// # Errors
     ///
     /// [`CodecError::Truncated`].
     pub fn u64(&mut self) -> Result<u64, CodecError> {
-        let end = self.pos.checked_add(8).ok_or(CodecError::Truncated)?;
-        let bytes = self.buf.get(self.pos..end).ok_or(CodecError::Truncated)?;
-        self.pos = end;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
     }
 
     /// Reads a little-endian `i64`.
@@ -211,6 +291,42 @@ mod tests {
         assert_eq!(r.u64(), Err(CodecError::Truncated));
         let mut r = ByteReader::new(&[]);
         assert_eq!(r.u8(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn u32_roundtrips_and_truncates() {
+        let mut out = Vec::new();
+        put_u32(&mut out, 0xdead_beef);
+        let mut r = ByteReader::new(&out);
+        assert_eq!(r.u32(), Ok(0xdead_beef));
+        assert_eq!(r.u32(), Err(CodecError::Truncated));
+    }
+
+    #[test]
+    fn fnv1a_matches_reference_vectors() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    #[test]
+    fn seal_unseal_roundtrip_and_reject_every_bit_flip() {
+        let mut sealed = b"checksummed body".to_vec();
+        seal(&mut sealed);
+        assert_eq!(unseal(&sealed), Ok(&b"checksummed body"[..]));
+        for i in 0..sealed.len() {
+            for bit in 0..8 {
+                let mut corrupt = sealed.clone();
+                corrupt[i] ^= 1 << bit;
+                assert_eq!(unseal(&corrupt), Err(CodecError::ChecksumMismatch));
+            }
+        }
+        for cut in 0..8 {
+            assert_eq!(unseal(&sealed[..cut]), Err(CodecError::Truncated));
+        }
+        let mut empty = Vec::new();
+        seal(&mut empty);
+        assert_eq!(unseal(&empty), Ok(&[][..]));
     }
 
     #[test]

@@ -8,11 +8,10 @@
 //! file per tenant, each committed phrase appended as a
 //! checksum-framed record, fsynced before the completion is reported.
 //!
-//! **Format.** A log file is a sequence of records, each
-//! `[len:u64le][body][fnv1a(len‖body):u64le]` — the same length-
-//! prefix + FNV-1a discipline as `bsml_bsp::wire` frames and
-//! checkpoint files. Bodies are `Header` (format version + tenant
-//! name, always first), at most one `Snapshot` (a serialized
+//! **Format.** A log file is a sequence of records, each a `u64`
+//! length-prefixed body sealed with the [`bsml_eval::bytes`] checksum
+//! envelope (DESIGN.md §15). Bodies are `Header` (format version +
+//! tenant name, always first), at most one `Snapshot` (a serialized
 //! [`SessionSnapshot`](bsml_core::SessionSnapshot) base state, always
 //! second), then `Commit` records with contiguous sequence numbers.
 //!
@@ -39,9 +38,8 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use bsml_bsp::checkpoint::fnv1a;
 use bsml_bsp::{Disk, StorageError};
-use bsml_eval::bytes::{put_str, put_u64, ByteReader, CodecError};
+use bsml_eval::bytes::{fnv1a, put_bytes, put_str, put_u64, seal, unseal, ByteReader, CodecError};
 use bsml_obs::Telemetry;
 
 /// WAL format version; bump on any layout change.
@@ -93,8 +91,7 @@ impl WalRecord {
             WalRecord::Snapshot { seq, state } => {
                 out.push(R_SNAPSHOT);
                 put_u64(&mut out, *seq);
-                put_u64(&mut out, state.len() as u64);
-                out.extend_from_slice(state);
+                put_bytes(&mut out, state);
             }
             WalRecord::Commit { seq, source } => {
                 out.push(R_COMMIT);
@@ -117,14 +114,10 @@ impl WalRecord {
                 version: r.u8()?,
                 tenant: r.str()?,
             },
-            R_SNAPSHOT => {
-                let seq = r.u64()?;
-                let n = r.count()?;
-                WalRecord::Snapshot {
-                    seq,
-                    state: r.take(n)?.to_vec(),
-                }
-            }
+            R_SNAPSHOT => WalRecord::Snapshot {
+                seq: r.u64()?,
+                state: r.bytes()?.to_vec(),
+            },
             R_COMMIT => WalRecord::Commit {
                 seq: r.u64()?,
                 source: r.str()?,
@@ -145,10 +138,8 @@ impl WalRecord {
 #[must_use]
 pub fn frame_record(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(body.len() + 16);
-    put_u64(&mut out, body.len() as u64);
-    out.extend_from_slice(body);
-    let sum = fnv1a(&out);
-    put_u64(&mut out, sum);
+    put_bytes(&mut out, body);
+    seal(&mut out);
     out
 }
 
@@ -166,23 +157,17 @@ pub fn scan_records(bytes: &[u8]) -> (Vec<WalRecord>, usize, bool) {
         if rest.is_empty() {
             return (records, good, false);
         }
-        if rest.len() < 8 {
-            return (records, good, true);
-        }
-        let len = u64::from_le_bytes(rest[..8].try_into().expect("8 bytes"));
-        let Some(total) = len
-            .checked_add(16)
+        let Some(total) = ByteReader::new(rest)
+            .u64()
+            .ok()
+            .and_then(|len| len.checked_add(16))
             .and_then(|t| usize::try_from(t).ok())
             .filter(|t| *t <= rest.len())
         else {
             return (records, good, true);
         };
-        let framed = &rest[..total];
-        let sum = u64::from_le_bytes(framed[total - 8..].try_into().expect("8 bytes"));
-        if fnv1a(&framed[..total - 8]) != sum {
-            return (records, good, true);
-        }
-        let Ok(record) = WalRecord::decode(&framed[8..total - 8]) else {
+        let Ok(record) = unseal(&rest[..total]).and_then(|body| WalRecord::decode(&body[8..]))
+        else {
             return (records, good, true);
         };
         records.push(record);

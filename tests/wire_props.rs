@@ -7,8 +7,9 @@
 //! damaged in flight must look *lost* (so the sender retransmits), not
 //! subtly different.
 
-use bsml_bsp::wire::{decode_value, encode_value, Reader};
+use bsml_bsp::wire::{decode_value, encode_value};
 use bsml_bsp::{Frame, FramePayload};
+use bsml_eval::bytes::ByteReader as Reader;
 use bsml_eval::PortableValue;
 use proptest::collection::vec;
 use proptest::prelude::*;
